@@ -1,21 +1,24 @@
-"""Certified eigenvalues from exact characteristic polynomials.
+"""Certified eigenvalues by exact inertia counting.
 
-Eigenvalues are returned as real algebraic numbers: an integer
-polynomial plus a shrinkable isolating interval.  Comparisons between
-them are exact decisions, not floating-point guesses, which is what
-lets the median eigenvalue drive a genuine partial order.
+One leaf-to-root pass over A(T) - xI counts the eigenvalues below, at
+and above a rational x.  Each eigenvalue is a bracket narrowed by
+bisection on these counts; comparisons between eigenvalues are exact
+decisions, not floating-point guesses, which is what lets the median
+eigenvalue drive a genuine partial order.
 """
 
 import math
 
 from invtrees import (caterpillar_median_bound, char_poly, compare_medians,
-                      elongated_caterpillar, median_eigenvalue, path_tree,
-                      rooted_product_char_poly, rooted_product_k2, spectrum)
+                      elongated_caterpillar, inertia, median_eigenvalue,
+                      path_tree, rooted_product_char_poly, rooted_product_k2,
+                      spectrum)
 
 p6 = path_tree(6)
 t6 = elongated_caterpillar(3)
 
 print(f"charpoly of P6 (ascending): {char_poly(p6)}")
+print(f"eigenvalues of P6 below, at and above 1/2: {inertia(p6, 0.5)}")
 spec = spectrum(p6)
 print("eigenvalues of P6 with certified intervals:")
 for r in spec.roots:

@@ -20,8 +20,9 @@ from .poset import (ExchangeMove, HassePoset, build_poset,
                     maximal_elements, minimal_elements, mobius_function,
                     poset_to_dot, poset_to_json, tree_exchange,
                     verify_exchange_lemma, witness_non_minimal)
-from .spectral import (Spectrum, caterpillar_median_bound, compare_medians,
-                       median_eigenvalue, median_root, path_eigenvalues,
+from .spectral import (Spectrum, TreeEigenvalue, caterpillar_median_bound,
+                       compare_medians, inertia, median_eigenvalue,
+                       median_root, path_eigenvalues,
                        rooted_product_char_poly, rooted_product_spectrum,
                        spectrum)
 from .trees import (Matching, Tree, apply_involution, canonical_code,

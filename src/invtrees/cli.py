@@ -76,16 +76,16 @@ def cmd_invert(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t = _load_tree(args.tree)
-    spec = spectral.spectrum(t, args.tol)
-    median = (spectral.median_eigenvalue(t, args.tol)
-              if t.n % 2 == 0 else None)
+    if args.median and not args.json:
+        print(f"{spectral.median_eigenvalue(t, args.tol):.7f}")
+        return EXIT_OK
+    values = spectral.spectrum(t, args.tol).values
     if args.json:
-        print(json.dumps({"values": spec.values, "median": median,
+        median = values[t.n // 2] if t.n % 2 == 0 else None
+        print(json.dumps({"values": values, "median": median,
                           "tol": args.tol}))
-    elif args.median:
-        print(f"{median:.7f}")
     else:
-        for v in spec.values:
+        for v in values:
             print(f"{v:.7f}")
     return EXIT_OK
 
@@ -186,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="invtree",
         description="Inverses of trees with perfect matchings.")
     parser.add_argument("--bound", type=int,
-                        default=enumeration.configured_bound(),
-                        help="max vertex count for enumeration "
-                             "(env INVTREE_MAX_VERTICES)")
+                        help="max vertex count for enumeration (default: "
+                             f"env {enumeration.ENV_BOUND} or "
+                             f"{enumeration.DEFAULT_BOUND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list tree classes")

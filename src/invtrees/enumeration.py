@@ -1,9 +1,11 @@
 """Exhaustive generation of unlabeled trees and the invertible classes.
 
-Rooted trees are generated as level sequences (Beyer-Hedetniemi
-successor rule), deduplicated to free trees by canonical code.  At the
-default bound of 14 vertices this is a few tens of thousands of rooted
-trees, well under a second.
+Rooted trees are generated as level sequences by a successor rule that
+copies from the previous sequence; unlike the Beyer-Hedetniemi rule it
+yields some rooted trees more than once (40964 sequences for the 32973
+rooted trees on 14 vertices).  Deduplication of free trees by canonical
+code removes those repeats along with the rerootings.  At the default
+bound, `enumerate_trees(14)` takes 3 to 4 s (Python 3.11, 2 CPUs).
 """
 
 from __future__ import annotations
@@ -21,12 +23,19 @@ ENV_BOUND = "INVTREE_MAX_VERTICES"
 
 def configured_bound() -> int:
     raw = os.environ.get(ENV_BOUND)
-    return int(raw) if raw else DEFAULT_BOUND
+    if not raw:
+        return DEFAULT_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENV_BOUND} must be an integer, got {raw!r}") from None
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
-    """All rooted trees on n vertices as level sequences, root level 1;
-    the parent of position i is the nearest j < i with level[i] - 1."""
+    """Every rooted tree on n vertices as a level sequence, root level 1,
+    some of them more than once; the parent of position i is the nearest
+    j < i with level[i] - 1."""
     s = list(range(1, n + 1))
     while True:
         yield s

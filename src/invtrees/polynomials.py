@@ -1,18 +1,19 @@
-"""Exact univariate polynomial arithmetic and certified real root
-isolation.
+"""Exact univariate polynomial arithmetic, Sturm sequences and exact
+comparison of real algebraic numbers.
 
 Polynomials are coefficient lists in ascending degree order.  Integer
 polynomials stay in int; intermediate quotients use Fraction, so every
-computation here is exact.  Root isolation is by Sturm-sequence sign
-counting and bisection, which yields certified isolating intervals with
-rational endpoints.
+computation here is exact.  Tree eigenvalues are located by inertia
+counting in `spectral`; this module supplies the arithmetic behind
+`char_poly` and the rooted-product identities, Sturm counts of distinct
+roots, and the gcd test that decides equality once two root brackets are
+narrow and still overlap (`compare_roots`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd as int_gcd
 from typing import Optional, Sequence
 
@@ -163,34 +164,28 @@ def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    """All real roots lie in (-B, B)."""
-    p = trim(p)
-    lead = abs(Fraction(p[-1]))
-    return 1 + max(abs(Fraction(c)) for c in p) / lead
-
-
 # ---------------------------------------------------------------------------
 # root objects
+
+# below this bracket width compare_roots asks the polynomials whether two
+# overlapping roots are equal, and tree eigenvalues confirm a cluster
+EXACT_TEST_WIDTH = Fraction(1, 2 ** 32)
 
 
 @dataclass
 class RealRoot:
-    """One real root of an integer polynomial with a certified isolating
-    interval.  `poly` is squarefree with this root simple; `multiplicity`
-    is the multiplicity in the original polynomial."""
+    """One real root of a squarefree integer polynomial `poly`: either
+    `exact`, or lo < root < hi with no other root of `poly` in (lo, hi]."""
 
     poly: Poly
     lo: Fraction
     hi: Fraction
-    multiplicity: int = 1
     exact: Optional[Fraction] = None
-    _sign_lo: int = field(default=0, repr=False)
+    _sign_lo: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.exact is None and self._sign_lo == 0:
-            v = evaluate(self.poly, self.lo)
-            self._sign_lo = 1 if v > 0 else -1
+        if self.exact is None:
+            self._sign_lo = 1 if evaluate(self.poly, self.lo) > 0 else -1
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -221,115 +216,46 @@ class RealRoot:
         return self.value()
 
 
-def _isolate_squarefree(p: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the real roots of a squarefree integer
-    polynomial with no rational roots."""
-    chain = sturm_sequence(p)
-    bound = cauchy_bound(p)
-    total = count_roots(chain, -bound, bound)
-    out = []
-    stack = [(-bound, bound, total)]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = count_roots(chain, a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, k - left))
-    return sorted(out)
+def _same_root(a, b) -> Optional[bool]:
+    """Exact equality of two roots whose brackets overlap, or None while a
+    bracket still holds another root of its polynomial."""
+    for r in (a, b):
+        if count_roots(sturm_sequence(r.poly), r.lo, r.hi) != 1:
+            return None
+    g = poly_gcd(a.poly, b.poly)  # squarefree, as both polys are
+    if degree(g) < 1:
+        return False
+    # a root of g in the overlap is a's root and b's root
+    return count_roots(sturm_sequence(g), max(a.lo, b.lo),
+                       min(a.hi, b.hi)) >= 1
 
 
-def _rational_roots_monic(p: Poly) -> tuple[Poly, list[tuple[Fraction, int]]]:
-    """Strip all rational (hence integer) roots of a monic integer
-    polynomial; returns the remaining factor and (root, multiplicity)."""
-    p = list(p)
-    roots = []
-    # root 0
-    k = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    # nonzero integer roots divide the constant term
-    if degree(p) >= 1:
-        candidates = set()
-        c0 = abs(p[0])
-        d = 1
-        while d * d <= c0:
-            if c0 % d == 0:
-                candidates.update({d, -d, c0 // d, -(c0 // d)})
-            d += 1
-        for r in sorted(candidates):
-            mult = 0
-            while degree(p) >= 1 and evaluate(p, r) == 0:
-                q, rem = divmod_exact(p, [-r, 1])
-                assert not rem
-                p = [int(c) for c in q]
-                mult += 1
-            if mult:
-                roots.append((Fraction(r), mult))
-    return p, roots
+def compare_roots(a, b) -> int:
+    """Certified comparison of two real algebraic numbers: -1, 0 or +1.
 
-
-def real_roots(p: Poly) -> list[RealRoot]:
-    """All real roots of an integer polynomial, with multiplicities,
-    sorted ascending.  For the characteristic polynomial of a symmetric
-    matrix every root is real, so the count equals the degree."""
-    p = trim(list(p))
-    if degree(p) < 1:
-        return []
-    if p[-1] < 0:
-        p = [-c for c in p]
-    core, rational = _rational_roots_monic(p)
-    roots = [RealRoot([-int(r), 1] if r else [0, 1], r, r,
-                      multiplicity=m, exact=r, _sign_lo=1)
-             for r, m in rational]
-    if degree(core) >= 1:
-        sf = squarefree_part(core)
-        # gcd chain: root has multiplicity 1 + (number of g_i vanishing there)
-        gcd_chain = []
-        g = poly_gcd(core, derivative(core))
-        while degree(g) >= 1:
-            gcd_chain.append((g, sturm_sequence(squarefree_part(g))))
-            g = poly_gcd(g, derivative(g))
-        for lo, hi in _isolate_squarefree(sf):
-            mult = 1
-            for _, chain in gcd_chain:
-                if count_roots(chain, lo, hi) >= 1:
-                    mult += 1
-            roots.append(RealRoot(sf, lo, hi, multiplicity=mult))
-    roots.sort(key=cmp_to_key(compare_roots))
-    return roots
-
-
-def compare_roots(a: RealRoot, b: RealRoot) -> int:
-    """Certified comparison of two real algebraic numbers.
-
-    Returns -1, 0 or +1.  Intervals are refined until disjoint; equality
-    is decided exactly by a polynomial gcd."""
-    if a.exact is not None and b.exact is not None:
-        return (a.exact > b.exact) - (a.exact < b.exact)
-    width = max(a.width(), b.width(), Fraction(1, 2))
+    `a` and `b` are root objects such as `RealRoot` or
+    `spectral.TreeEigenvalue`: `exact`, or lo < root < hi, with
+    `refine(width)` to narrow the bracket and `poly` a squarefree integer
+    polynomial with no other root in (lo, hi] once it is narrow enough.
+    Both brackets are refined only until they are disjoint.  If both are
+    narrower than EXACT_TEST_WIDTH and still overlap, equality is decided
+    exactly by the gcd of the two polynomials."""
+    width = max(a.width(), b.width())
+    tested = False
     for _ in range(200):
-        if a.hi < b.lo:
+        if a.exact is not None and b.exact is not None:
+            return (a.exact > b.exact) - (a.exact < b.exact)
+        # at most one is exact, so touching brackets are strictly ordered
+        if a.hi <= b.lo:
             return -1
-        if b.hi < a.lo:
+        if b.hi <= a.lo:
             return 1
-        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-        g = poly_gcd(a.poly, b.poly)
-        if degree(g) >= 1:
-            chain = sturm_sequence(squarefree_part(g))
-            if count_roots(chain, lo, hi) >= 1:
-                # both isolating intervals contain a common root; since
-                # each contains exactly one root, the roots are equal
-                if count_roots(sturm_sequence(a.poly), lo, hi) >= 1 and \
-                        count_roots(sturm_sequence(b.poly), lo, hi) >= 1:
-                    return 0
+        if (not tested and width <= EXACT_TEST_WIDTH
+                and a.exact is None and b.exact is None):
+            same = _same_root(a, b)
+            if same:
+                return 0
+            tested = same is not None
         width /= 2
         a.refine(width)
         b.refine(width)

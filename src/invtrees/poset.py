@@ -16,7 +16,7 @@ from typing import Optional
 from . import polynomials as pol
 from .errors import EdgeAlreadyPresent, InvalidMove, NotInvertible
 from .inverse import inverse_graph
-from .spectral import median_root
+from .spectral import TreeEigenvalue, median_root
 from .trees import (Edge, Tree, canonical_code, edge, involution,
                     perfect_matching, path_edges, tree, tree_path)
 
@@ -201,7 +201,7 @@ def witness_non_minimal(t: Tree) -> Optional[tuple[Tree, ExchangeMove]]:
 class PosetNode:
     code: bytes
     representative: Tree
-    median: pol.RealRoot
+    median: TreeEigenvalue
 
 
 @dataclass

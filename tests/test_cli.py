@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,12 @@ class TestEnumerate:
                            "--vertices", "8")
         assert code == 3 and "error" in err
 
+    def test_bad_env_bound_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("INVTREE_MAX_VERTICES", "abc")
+        code, _, err = run(capsys, "enumerate", "--vertices", "4")
+        assert code == 2
+        assert err.startswith("error:") and "INVTREE_MAX_VERTICES" in err
+
 
 class TestInvert:
     def test_p6_edges(self, capsys, p6_file):
@@ -102,6 +109,13 @@ class TestSpectrum:
         _, out, _ = run(capsys, "spectrum", p6_file, "--json")
         data = json.loads(out)
         assert set(data) == {"values", "median", "tol"}
+
+    def test_median_of_deep_path(self, capsys, tmp_path):
+        path = tmp_path / "path-1200.elist"
+        path.write_text(format_tree(path_tree(1200)))
+        code, out, _ = run(capsys, "spectrum", str(path), "--median")
+        assert code == 0
+        assert out.strip() == f"{2 * math.cos(600 * math.pi / 1201):.7f}"
 
 
 class TestExchange:

@@ -1,18 +1,21 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_trees
-from invtrees.enumeration import enumerate_invertible
+from invtrees.enumeration import enumerate_invertible, enumerate_trees
 from invtrees.errors import OddOrder
-from invtrees.inverse import (adjacency_matrix, char_poly,
+from invtrees.inverse import (adjacency_matrix, char_poly, inverse_graph,
                               inverse_signed_graph)
-from invtrees.polynomials import compare_roots, real_roots
-from invtrees.spectral import (caterpillar_median_bound, compare_medians,
-                               median_eigenvalue, median_root,
-                               path_eigenvalues, rooted_product_char_poly,
+from invtrees.polynomials import RealRoot, compare_roots
+from invtrees.spectral import (TreeEigenvalue, caterpillar_median_bound,
+                               compare_medians, inertia, median_eigenvalue,
+                               median_root, path_eigenvalues,
+                               rooted_product_char_poly,
                                rooted_product_spectrum, spectrum)
 from invtrees.trees import (elongated_caterpillar, path_tree,
                             rooted_product_k2, star_tree, tree)
@@ -181,20 +184,62 @@ class TestCaterpillarBound:
 
 
 class TestRootIsolation:
-    def test_real_roots_with_multiplicity(self):
-        # (x^2 - 2)^2 * (x - 1)
-        p = [-4, 4, 4, -4, -1, 1]
-        roots = real_roots(p)
-        assert [r.multiplicity for r in roots] == [2, 1, 2]
-        assert [r.value() for r in roots] == pytest.approx(
-            [-math.sqrt(2), 1.0, math.sqrt(2)], abs=1e-11)
-
     def test_compare_equal_irrational(self):
-        a = real_roots([-2, 0, 1])[1]
-        b = real_roots([-4, 0, 0, 0, 1])[1]  # x^4 - 4 has sqrt(2) too
+        a = RealRoot([-2, 0, 1], Fraction(1), Fraction(2))  # sqrt(2)
+        # x^4 - 4 has sqrt(2) too
+        b = RealRoot([-4, 0, 0, 0, 1], Fraction(1), Fraction(2))
         assert compare_roots(a, b) == 0
 
     def test_compare_close(self):
-        a = real_roots([-2, 0, 1])[1]           # sqrt(2)
-        b = real_roots([-2000001, 0, 1000000])[1]  # sqrt(2.000001)
+        a = RealRoot([-2, 0, 1], Fraction(1), Fraction(2))  # sqrt(2)
+        b = RealRoot([-2000001, 0, 1000000], Fraction(1),
+                     Fraction(2))  # sqrt(2.000001)
         assert compare_roots(a, b) == -1
+
+
+def _eigenvalues(matrix):
+    return np.linalg.eigvalsh(np.array(matrix, dtype=float))
+
+
+class TestInertia:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_counts_match_dense_eigensolver(self, n):
+        rng = random.Random(n)
+        for t in enumerate_trees(n).values():
+            ev = _eigenvalues(adjacency_matrix(t))
+            points = [0, 1, -1, 2, -2] + [
+                Fraction(rng.randint(-400, 400), rng.randint(1, 150))
+                for _ in range(5)]
+            for x in points:
+                below = int(np.sum(ev < float(x) - 1e-9))
+                at = int(np.sum(abs(ev - float(x)) <= 1e-9))
+                assert inertia(t, x) == (below, at, n - below - at)
+
+    @pytest.mark.parametrize("two_n", [12, 14])
+    def test_median_is_reciprocal_inverse_radius(self, two_n):
+        # switching preserves the spectrum, so the smallest positive
+        # eigenvalue of T is 1 / rho of the unsigned inverse graph
+        for t in enumerate_invertible(two_n).values():
+            g = inverse_graph(t)
+            a = [[0] * g.n for _ in range(g.n)]
+            for u, v in g.edges:
+                a[u][v] = a[v][u] = 1
+            rho = max(_eigenvalues(a))
+            assert median_eigenvalue(t) == pytest.approx(1 / rho, abs=1e-11)
+
+    def test_irrational_multiple_eigenvalue(self):
+        # spider with three 3-vertex legs: +-sqrt(2) and 0 twice each
+        spider = tree(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
+                           (0, 7), (7, 8), (8, 9)])
+        spec = spectrum(spider)
+        mults = {round(r.value(), 6): r.multiplicity for r in spec.roots}
+        r2 = round(math.sqrt(2), 6)
+        assert mults[r2] == mults[-r2] == mults[0.0] == 2
+        assert spec.values == pytest.approx(
+            sorted(_eigenvalues(adjacency_matrix(spider))), abs=1e-11)
+        # one eigenvalue at a time, from an unrefined bracket
+        root = TreeEigenvalue(spider, 7)
+        assert root.exact is None and root.multiplicity == 2
+        assert root.value() == pytest.approx(math.sqrt(2), abs=1e-11)
+        zero = TreeEigenvalue(spider, 4)
+        assert zero.multiplicity == 2 and zero.exact == 0
