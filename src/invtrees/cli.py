@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -181,6 +182,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invtree",
@@ -209,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--median", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float,
+                   default=spectral.DEFAULT_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("exchange", help="apply one tree-exchange move")
@@ -227,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="machine-check every lemma")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; sweeps are "
-                        "single-threaded at desk scale")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,9 +3,25 @@
 Rooted trees are generated as level sequences by a successor rule that
 copies from the previous sequence; unlike the Beyer-Hedetniemi rule it
 yields some rooted trees more than once (40964 sequences for the 32973
-rooted trees on 14 vertices).  Deduplication of free trees by canonical
-code removes those repeats along with the rerootings.  At the default
-bound, `enumerate_trees(14)` takes 3 to 4 s (Python 3.11, 2 CPUs).
+rooted trees on 14 vertices).  Each sequence becomes a parent array and
+plain adjacency lists, is keyed by its canonical code, and per code the
+smallest sorted edge list is kept; `Tree` objects are built only for
+those winners.  For the invertible classes a leaf-up greedy matching on
+the parent array drops every sequence without a perfect matching before
+any coding (2606 of the 40964 survive at 14 vertices); having one is a
+class invariant, so no class loses its representative.
+
+The candidate set is kept on purpose.  The representative of a class is
+the smallest sorted edge list among its level sequences, so a generator
+that yields another set of sequences picks other labelled trees: true
+Beyer-Hedetniemi order already changes 3 of the 5 representatives
+pinned in tests/data/poset_n4.json.  A free-tree generator
+(Wright-Richmond-Odlyzko-McKay) waits on the decision to re-pin them.
+
+Measured on 2 CPUs with Python 3.11: `enumerate_trees(14)` 1.6 s,
+`enumerate_invertible` over 2..14 vertices 0.34 s in all, and
+`enumerate_invertible(16, bound=16)` 2.0 s.  `test_bound_enforced`, which
+enumerates the 7741 trees on 15 vertices, takes about 4 s.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ import os
 from typing import Iterator
 
 from .errors import BoundExceeded, OddOrder
-from .trees import Tree, canonical_code, perfect_matching, tree
+from .trees import Tree, adjacency_code
 
 DEFAULT_BOUND = 14
 ENV_BOUND = "INVTREE_MAX_VERTICES"
@@ -39,42 +55,69 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
     s = list(range(1, n + 1))
     while True:
         yield s
-        p = max((i for i in range(n) if s[i] > 2), default=-1)
+        p = n - 1
+        while p >= 0 and s[p] <= 2:
+            p -= 1
         if p < 0:
             return
-        q = max(i for i in range(p) if s[i] == s[p] - 1)
+        q = p - 1
+        while s[q] != s[p] - 1:
+            q -= 1
         s = s[:p] + [s[i - (p - q)] for i in range(p, n)]
 
 
-def _tree_from_levels(levels: list[int]) -> Tree:
-    edges = []
-    stack = []  # stack[d] = most recent vertex at level d+1
-    for i, lvl in enumerate(levels):
-        if lvl > 1:
-            edges.append((stack[lvl - 2], i))
-        if lvl - 1 < len(stack):
-            stack[lvl - 1] = i
-        else:
+def _classes(n: int, matched: bool) -> dict:
+    """Canonical code -> representative Tree over the level sequences on
+    n vertices, keeping per code the tree whose sorted edge list is
+    smallest; with `matched`, only trees with a perfect matching."""
+    best: dict = {}  # code -> sorted edge tuple
+    for levels in _level_sequences(n):
+        parent = [-1] * n
+        stack = []  # stack[d] = most recent vertex at level d+1
+        for i, lvl in enumerate(levels):
+            if lvl > 1:
+                parent[i] = stack[lvl - 2]
+            del stack[lvl - 1:]
             stack.append(i)
-    return tree(len(levels), edges)
+        if matched and not _has_perfect_matching(parent):
+            continue
+        adj = [[] for _ in range(n)]
+        for v in range(1, n):
+            adj[parent[v]].append(v)
+            adj[v].append(parent[v])
+        edges = tuple(sorted((parent[v], v) for v in range(1, n)))
+        code = adjacency_code(adj)
+        prev = best.get(code)
+        if prev is None or edges < prev:
+            best[code] = edges
+    return {code: Tree(n, frozenset(edges))
+            for code, edges in sorted(best.items())}
 
 
-# TreeClassSet: canonical code -> representative Tree
+def _has_perfect_matching(parent: list[int]) -> bool:
+    """Leaf-up greedy matching on a parent array in preorder: in reverse
+    preorder every vertex still unmatched must take its parent."""
+    matched = [False] * len(parent)
+    for v in range(len(parent) - 1, -1, -1):
+        if matched[v]:
+            continue
+        p = parent[v]
+        if p < 0 or matched[p]:
+            return False
+        matched[v] = matched[p] = True
+    return True
+
+
+def _check_bound(n: int, bound: int | None) -> None:
+    bound = bound if bound is not None else configured_bound()
+    if n < 1 or n > bound:
+        raise BoundExceeded(f"n={n} outside 1..{bound}")
 
 
 def enumerate_trees(n: int, bound: int | None = None) -> dict:
     """One labeled representative per unlabeled tree on n vertices."""
-    bound = bound if bound is not None else configured_bound()
-    if n < 1 or n > bound:
-        raise BoundExceeded(f"n={n} outside 1..{bound}")
-    classes: dict = {}
-    for levels in _level_sequences(n):
-        t = _tree_from_levels(levels)
-        code = canonical_code(t)
-        prev = classes.get(code)
-        if prev is None or t.sorted_edges() < prev.sorted_edges():
-            classes[code] = t
-    return dict(sorted(classes.items()))
+    _check_bound(n, bound)
+    return _classes(n, matched=False)
 
 
 def enumerate_invertible(two_n: int, bound: int | None = None) -> dict:
@@ -82,9 +125,8 @@ def enumerate_invertible(two_n: int, bound: int | None = None) -> dict:
     matching."""
     if two_n % 2 == 1:
         raise OddOrder("no tree on an odd vertex count is invertible")
-    classes = enumerate_trees(two_n, bound)
-    return {code: t for code, t in classes.items()
-            if perfect_matching(t) is not None}
+    _check_bound(two_n, bound)
+    return _classes(two_n, matched=True)
 
 
 def classes_to_json(classes: dict) -> str:

@@ -15,9 +15,9 @@ from typing import Optional
 
 from . import polynomials as pol
 from .errors import NotInvertible, NotSpanningTreeEdge, Singular
-from .trees import (Edge, Matching, Tree, apply_involution, edge,
-                    involution, is_alternating, perfect_matching,
-                    tree_path, _rooted_code, _strip_to_centers)
+from .trees import (Edge, Matching, Tree, adjacency_code, apply_involution,
+                    edge, involution, is_alternating, perfect_matching,
+                    tree_path)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _forest_charpoly(adj, verts: frozenset) -> list[int]:
                     stack.append(w)
         seen |= comp
         sub = [a & comp for a in adj]
-        code = _ahu_code(sub, comp)
+        code = adjacency_code(sub, comp)
         part = _CHARPOLY_CACHE.get(code)
         if part is None:
             part = tuple(_component_charpoly(sub, frozenset(comp)))
@@ -107,13 +107,6 @@ def _component_charpoly(adj, verts: frozenset) -> list[int]:
     without_leaf = _forest_charpoly(adj, verts - {leaf})
     without_both = _forest_charpoly(adj, verts - {leaf, nbr})
     return pol.sub(pol.mul([0, 1], without_leaf), without_both)
-
-
-def _ahu_code(adj, verts) -> bytes:
-    centers = _strip_to_centers(len(adj), [sorted(a) for a in adj], verts)
-    allowed = set(verts)
-    return min(_rooted_code(c, [sorted(a) for a in adj], allowed)
-               for c in centers)
 
 
 # ---------------------------------------------------------------------------

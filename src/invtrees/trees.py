@@ -9,8 +9,7 @@ function.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotATree, NotPerfect, ParseError, SameVertex
@@ -29,6 +28,7 @@ class Tree:
 
     n: int
     edges: frozenset  # of Edge
+    _adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -40,17 +40,30 @@ class Tree:
         if len(self.edges) != self.n - 1:
             raise NotATree(
                 f"{len(self.edges)} edges, expected {self.n - 1}")
-        if _component(self.n, self.edges, 0) != set(range(self.n)):
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        adj = tuple(tuple(sorted(a)) for a in adj)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != self.n:
             raise NotATree("graph is disconnected")
+        object.__setattr__(self, "_adj", adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return _adjacency(self.n, self.edges)
+        return self._adj
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        return len(self._adj[v])
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -69,28 +82,6 @@ def path_tree(n: int) -> Tree:
 def star_tree(n: int) -> Tree:
     """The star with center 0."""
     return tree(n, ((0, i) for i in range(1, n)))
-
-
-def _component(n: int, edges: frozenset, start: int) -> set:
-    adj = _adjacency(n, edges)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-@lru_cache(maxsize=None)
-def _adjacency(n: int, edges: frozenset) -> tuple[tuple[int, ...], ...]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -255,47 +246,57 @@ def is_alternating(path: VertexPath, m: Matching) -> bool:
 # canonical form (AHU)
 
 
-def _strip_to_centers(n: int, adj: Sequence[Sequence[int]],
-                      vertices: Iterable[int]) -> list[int]:
-    """Centers of the subtree induced by `vertices` (1 or 2 of them)."""
-    verts = set(vertices)
-    deg = {v: sum(1 for w in adj[v] if w in verts) for v in verts}
-    layer = [v for v in verts if deg[v] <= 1]
-    remaining = len(verts)
+def adjacency_code(adj, vertices: Optional[Iterable[int]] = None) -> bytes:
+    """AHU code of the tree induced on `vertices` (default: every vertex
+    of `adj`), rooted at its centre; a bicentral tree takes the smaller of
+    its two codes.
+
+    A rooted code is "(" + the sorted codes of the children + ")".  The
+    pass is iterative: strip leaves to the centres, order the vertices
+    breadth-first from them, then close the codes bottom-up.
+    """
+    if vertices is not None:  # relabel the induced tree to 0..k-1
+        index = {v: i for i, v in enumerate(vertices)}
+        adj = [[index[w] for w in adj[v] if w in index] for v in index]
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    centres = [v for v in range(n) if deg[v] <= 1]
+    remaining = n
     while remaining > 2:
-        nxt = []
+        remaining -= len(centres)
+        layer, centres = centres, []
         for v in layer:
-            verts.discard(v)
-            remaining -= 1
             for w in adj[v]:
-                if w in verts:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(verts)
-
-
-def _rooted_code(root: int, adj: Sequence[Sequence[int]],
-                 allowed: Optional[set] = None) -> bytes:
-    """AHU encoding of the subtree reachable from `root`."""
-
-    def code(v: int, parent: int) -> bytes:
-        subs = sorted(
-            code(w, v) for w in adj[v]
-            if w != parent and (allowed is None or w in allowed))
-        return b"(" + b"".join(subs) + b")"
-
-    return code(root, -1)
+                deg[w] -= 1
+                if deg[w] == 1:
+                    centres.append(w)
+    # each centre's parent is the other centre (itself if it is alone),
+    # so the breadth-first pass never crosses the central edge
+    parent = [-1] * n
+    for c, other in zip(centres, reversed(centres)):
+        parent[c] = other
+    order = list(centres)
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    kids = [[] for _ in range(n)]
+    for v in reversed(order[len(centres):]):
+        subs = kids[v]
+        subs.sort()
+        kids[parent[v]].append(b"(" + b"".join(subs) + b")")
+    if len(centres) == 1:
+        return b"(" + b"".join(sorted(kids[centres[0]])) + b")"
+    # rooted at one centre, the other centre's half is one more child
+    halves = [b"(" + b"".join(sorted(kids[c])) + b")" for c in centres]
+    return min(b"(" + b"".join(sorted(kids[c] + [other])) + b")"
+               for c, other in zip(centres, reversed(halves)))
 
 
 def canonical_code(t: Tree) -> bytes:
-    """Canonical code of the isomorphism class: AHU code rooted at the
-    center, taking the lexicographically smaller code for bicentral
-    trees."""
-    adj = t.adjacency()
-    centers = _strip_to_centers(t.n, adj, range(t.n))
-    return min(_rooted_code(c, adj) for c in centers)
+    """Canonical code of the isomorphism class (see `adjacency_code`)."""
+    return adjacency_code(t.adjacency())
 
 
 def trees_isomorphic(a: Tree, b: Tree) -> bool:

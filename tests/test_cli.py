@@ -110,6 +110,16 @@ class TestSpectrum:
         data = json.loads(out)
         assert set(data) == {"values", "median", "tol"}
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tol_exit_2(self, capsys, p6_file, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", p6_file, "--median", "--tol", tol])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith(
+            f"argument --tol: must be a positive finite number, got {tol!r}")
+        assert "Traceback" not in err
+
     def test_median_of_deep_path(self, capsys, tmp_path):
         path = tmp_path / "path-1200.elist"
         path.write_text(format_tree(path_tree(1200)))
@@ -161,5 +171,5 @@ class TestVerify:
         assert "checked 4 classes" in out and "all checks passed" in out
 
     def test_max_n_4(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-n", "4", "--jobs", "2")
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
         assert code == 0 and "checked 9 classes" in out

@@ -5,7 +5,7 @@ from invtrees.enumeration import (classes_to_json, enumerate_invertible,
                                   enumerate_trees)
 from invtrees.errors import BoundExceeded, OddOrder
 from invtrees.trees import (canonical_code, path_tree, perfect_matching,
-                            trees_isomorphic, elongated_caterpillar)
+                            tree, trees_isomorphic, elongated_caterpillar)
 
 # unlabeled trees on 1..10 vertices
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
@@ -25,6 +25,39 @@ def test_matches_prufer_enumeration(n):
     mine = set(enumerate_trees(n))
     brute = {canonical_code(t) for t in labeled_trees(n)}
     assert mine == brute
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_matches_networkx_free_trees(n):
+    import networkx as nx
+    oracle = {canonical_code(tree(n, g.edges()))
+              for g in nx.nonisomorphic_trees(n)}
+    assert set(enumerate_trees(n)) == oracle
+
+
+@pytest.mark.parametrize("two_n", range(2, 13, 2))
+def test_invertible_is_matched_subset(two_n):
+    matched = {code: t.sorted_edges()
+               for code, t in enumerate_trees(two_n).items()
+               if perfect_matching(t) is not None}
+    got = {code: t.sorted_edges()
+           for code, t in enumerate_invertible(two_n).items()}
+    assert list(got.items()) == list(matched.items())
+
+
+@pytest.mark.parametrize("two_n,count", [(14, 180), (16, 701)])
+def test_invertible_counts_beyond_fixture(two_n, count):
+    assert len(enumerate_invertible(two_n, bound=16)) == count
+
+
+def chain(k: int) -> bytes:
+    return b"(" * k + b")" * k
+
+
+def test_canonical_code_of_deep_path():
+    # rooted at either centre: the 1500-vertex half sorts first
+    assert canonical_code(path_tree(3000)) == (
+        b"(" + chain(1500) + chain(1499) + b")")
 
 
 def test_four_vertices_by_inspection():
