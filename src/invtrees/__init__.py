@@ -6,7 +6,7 @@ from .errors import (BoundExceeded, EdgeAlreadyPresent, InvalidMove,
                      InvTreeError, NotATree, NotInvertible, NotPerfect,
                      NotSpanningTreeEdge, OddOrder, ParseError, SameVertex,
                      Singular)
-from .inverse import (Cut, Graph, GodsilReport, SignedGraph,
+from .inverse import (Cut, Graph, Report, SignedGraph,
                       adjacency_matrix, char_poly, exact_inverse,
                       fundamental_cut, inverse_entry, inverse_graph,
                       inverse_signed_graph, is_identity, matmul,

@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import enumeration, inverse, poset, spectral, trees
-from .errors import BoundExceeded, InvalidMove, InvTreeError, NotInvertible
+from .errors import (BoundExceeded, InvalidMove, InvTreeError, NotInvertible,
+                     ParseError)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -91,8 +92,14 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    u, v = (int(x) for x in text.split(","))
+def _parse_pair(text: str, t: trees.Tree) -> tuple[int, int]:
+    """The vertex pair "u,v" of t, as a sorted edge."""
+    try:
+        u, v = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ParseError(f"expected two vertices u,v, got {text!r}")
+    if not (0 <= u < t.n and 0 <= v < t.n):
+        raise ParseError(f"vertex out of range 0..{t.n - 1} in {text!r}")
     return trees.edge(u, v)
 
 
@@ -102,7 +109,7 @@ def cmd_exchange(args) -> int:
     if m is None:
         raise NotInvertible("no perfect matching")
     phi = trees.involution(t, m)
-    q = _parse_pair(args.add)
+    q = _parse_pair(args.add, t)
     q_phi = trees.edge(phi[q[0]], phi[q[1]])
     inv_edges = inverse.inverse_graph(t).edges
     # accept either the inverse-graph edge e or its image phi(e);
@@ -115,7 +122,7 @@ def cmd_exchange(args) -> int:
         raise InvalidMove(
             f"{q} is neither a usable inverse-graph edge nor the image "
             "of one")
-    move = poset.ExchangeMove(add=add, remove=_parse_pair(args.remove),
+    move = poset.ExchangeMove(add=add, remove=_parse_pair(args.remove, t),
                               source_inverse_edge=source)
     result = poset.tree_exchange(t, move)
     print(trees.format_tree(result), end="")
@@ -193,6 +200,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invtree",
@@ -239,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("verify", help="machine-check every lemma")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -1,8 +1,11 @@
-"""Exact inverses of invertible trees.
+"""Exact inverses of invertible trees, and the characteristic polynomial.
 
 Two independent routes to the inverse are kept side by side: the
 combinatorial one (signed alternating-path entries) and an integer
-linear-algebra oracle (fraction-free elimination).  Everything here is
+linear-algebra oracle (fraction-free elimination).  `char_poly` builds
+the characteristic polynomial in one iterative leaf-to-root pass, with
+no cache.  `Report` is the one verification report: `verify_godsil` here
+and `poset.verify_exchange_lemma` both return one.  Everything here is
 exact integer arithmetic; there is no floating point in this module.
 """
 
@@ -15,8 +18,8 @@ from typing import Optional
 
 from . import polynomials as pol
 from .errors import NotInvertible, NotSpanningTreeEdge, Singular
-from .trees import (Edge, Matching, Tree, adjacency_code, apply_involution,
-                    edge, involution, is_alternating, perfect_matching,
+from .trees import (Edge, Matching, Tree, apply_involution, edge, involution,
+                    is_alternating, leaf_to_root, perfect_matching,
                     tree_path)
 
 
@@ -63,50 +66,23 @@ def char_poly(t: Tree) -> list[int]:
     """Exact integer characteristic polynomial of A(T), ascending
     coefficients, monic of degree n.
 
-    Uses the leaf recurrence phi(T) = t*phi(T-v) - phi(T-v-u) for a leaf
-    v with neighbour u; forests factor over components.  Components are
-    memoized by canonical code, so isomorphic subtrees are computed once.
+    One leaf-to-root pass.  For the subtree T_v below v it keeps
+    P_v = phi(T_v) and Q_v = phi(T_v - v), the product of P_c over the
+    children c of v.  Expanding along the edges at v gives
+    P_v = t*Q_v - sum_c Q_c * prod_{c' != c} P_c'; the sum is built up
+    child by child as acc = acc*P_c + prod*Q_c, with prod = prod*P_c.
     """
-    adj = [set(a) for a in t.adjacency()]
-    return _forest_charpoly(adj, frozenset(range(t.n)))
-
-
-_CHARPOLY_CACHE: dict = {}
-
-
-def _forest_charpoly(adj, verts: frozenset) -> list[int]:
-    result = [1]
-    seen = set()
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in verts and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        sub = [a & comp for a in adj]
-        code = adjacency_code(sub, comp)
-        part = _CHARPOLY_CACHE.get(code)
-        if part is None:
-            part = tuple(_component_charpoly(sub, frozenset(comp)))
-            _CHARPOLY_CACHE[code] = part
-        result = pol.mul(result, list(part))
-    return result
-
-
-def _component_charpoly(adj, verts: frozenset) -> list[int]:
-    if len(verts) == 1:
-        return [0, 1]
-    leaf = min(v for v in verts if len(adj[v] & verts) == 1)
-    nbr = next(iter(adj[leaf] & verts))
-    without_leaf = _forest_charpoly(adj, verts - {leaf})
-    without_both = _forest_charpoly(adj, verts - {leaf, nbr})
-    return pol.sub(pol.mul([0, 1], without_leaf), without_both)
+    order, parent = leaf_to_root(t)
+    prod = [[1] for _ in order]  # Q_v so far
+    acc = [[] for _ in order]
+    for v in order:
+        p_v = pol.sub([0] + prod[v], acc[v])
+        u = parent[v]
+        if u < 0:
+            return p_v
+        acc[u] = pol.add(pol.mul(acc[u], p_v), pol.mul(prod[u], prod[v]))
+        prod[u] = pol.mul(prod[u], p_v)
+        prod[v] = acc[v] = None
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +284,13 @@ def negative_cut_count(t: Tree, e: Edge) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Godsil reconstruction report
+# verification reports
 
 
 @dataclass
-class GodsilReport:
+class Report:
+    """The outcome of one lemma check: its clauses, each passed or not."""
+
     clauses: list  # of (name, ok, detail)
 
     @property
@@ -327,7 +305,7 @@ class GodsilReport:
         return None
 
 
-def verify_godsil(t: Tree) -> GodsilReport:
+def verify_godsil(t: Tree) -> Report:
     """Check the inverse-reconstruction clauses on one tree.
 
     (a) oracle inverse has entries in {0, +-1};
@@ -368,7 +346,7 @@ def verify_godsil(t: Tree) -> GodsilReport:
     ok_e = phi_t.edges <= sg.edge_set()
     clauses.append(("e:spanning", ok_e,
                     "phi(T) is not contained in the inverse graph"))
-    return GodsilReport(clauses)
+    return Report(clauses)
 
 
 # ---------------------------------------------------------------------------

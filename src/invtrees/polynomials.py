@@ -1,5 +1,5 @@
 """Exact univariate polynomial arithmetic, Sturm sequences and exact
-comparison of real algebraic numbers.
+comparison of certified eigenvalues.
 
 Polynomials are coefficient lists in ascending degree order.  Integer
 polynomials stay in int; intermediate quotients use Fraction, so every
@@ -7,12 +7,12 @@ computation here is exact.  Tree eigenvalues are located by inertia
 counting in `spectral`; this module supplies the arithmetic behind
 `char_poly` and the rooted-product identities, Sturm counts of distinct
 roots, and the gcd test that decides equality once two root brackets are
-narrow and still overlap (`compare_roots`).
+narrow and still overlap (`compare_roots`).  It defines no root type of
+its own: `compare_roots` compares `spectral.TreeEigenvalue`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Optional, Sequence
@@ -165,55 +165,11 @@ def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# root objects
+# exact comparison of certified roots
 
 # below this bracket width compare_roots asks the polynomials whether two
 # overlapping roots are equal, and tree eigenvalues confirm a cluster
 EXACT_TEST_WIDTH = Fraction(1, 2 ** 32)
-
-
-@dataclass
-class RealRoot:
-    """One real root of a squarefree integer polynomial `poly`: either
-    `exact`, or lo < root < hi with no other root of `poly` in (lo, hi]."""
-
-    poly: Poly
-    lo: Fraction
-    hi: Fraction
-    exact: Optional[Fraction] = None
-    _sign_lo: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.exact is None:
-            self._sign_lo = 1 if evaluate(self.poly, self.lo) > 0 else -1
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def refine(self, width: Fraction) -> None:
-        """Bisect the isolating interval until it is at most `width`
-        wide."""
-        if self.exact is not None:
-            self.lo = self.hi = self.exact
-            return
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            v = evaluate(self.poly, mid)
-            if v == 0:
-                self.exact = mid
-                self.lo = self.hi = mid
-                return
-            if (1 if v > 0 else -1) == self._sign_lo:
-                self.lo = mid
-            else:
-                self.hi = mid
-
-    def value(self, tol: float = 1e-12) -> float:
-        self.refine(Fraction(tol))
-        return float((self.lo + self.hi) / 2)
-
-    def __float__(self) -> float:
-        return self.value()
 
 
 def _same_root(a, b) -> Optional[bool]:
@@ -233,10 +189,10 @@ def _same_root(a, b) -> Optional[bool]:
 def compare_roots(a, b) -> int:
     """Certified comparison of two real algebraic numbers: -1, 0 or +1.
 
-    `a` and `b` are root objects such as `RealRoot` or
-    `spectral.TreeEigenvalue`: `exact`, or lo < root < hi, with
-    `refine(width)` to narrow the bracket and `poly` a squarefree integer
-    polynomial with no other root in (lo, hi] once it is narrow enough.
+    `a` and `b` are `spectral.TreeEigenvalue`s: `exact`, or
+    lo < root < hi, with `refine(width)` to narrow the bracket and `poly`
+    a squarefree integer polynomial with no other root in (lo, hi] once
+    it is narrow enough.
     Both brackets are refined only until they are disjoint.  If both are
     narrower than EXACT_TEST_WIDTH and still overlap, equality is decided
     exactly by the gcd of the two polynomials."""

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import polynomials as pol
 from .errors import EdgeAlreadyPresent, InvalidMove, NotInvertible
-from .inverse import inverse_graph
+from .inverse import Report, inverse_graph
 from .spectral import TreeEigenvalue, median_root
 from .trees import (Edge, Tree, canonical_code, edge, involution,
                     perfect_matching, path_edges, tree, tree_path)
@@ -95,23 +95,7 @@ def tree_exchange(t: Tree, move: ExchangeMove) -> Tree:
     return Tree(t.n, frozenset(edges))
 
 
-@dataclass
-class ExchangeReport:
-    clauses: list  # of (name, ok, detail)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.clauses)
-
-    @property
-    def first_failure(self) -> Optional[str]:
-        for name, ok, detail in self.clauses:
-            if not ok:
-                return f"{name}: {detail}"
-        return None
-
-
-def verify_exchange_lemma(t: Tree, move: ExchangeMove) -> ExchangeReport:
+def verify_exchange_lemma(t: Tree, move: ExchangeMove) -> Report:
     """Check, for one move: the new inverse graph is a proper subgraph of
     the old one, the image of the removed edge disappears from it, and
     the median eigenvalue strictly increases (certified)."""
@@ -132,7 +116,7 @@ def verify_exchange_lemma(t: Tree, move: ExchangeMove) -> ExchangeReport:
                                               median_root(new)) < 0,
          "median eigenvalue did not strictly increase"),
     ]
-    return ExchangeReport(clauses)
+    return Report(clauses)
 
 
 # ---------------------------------------------------------------------------

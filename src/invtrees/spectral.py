@@ -7,10 +7,12 @@ Algebra Appl. 434, 2011): one leaf-to-root pass over A(T) - xI in
 rational x, in O(n) operations and without recursion.  Bisection on
 these counts brackets any eigenvalue, hits every integer eigenvalue
 exactly (the brackets start from a power of two) and reads
-multiplicities off the counts.  The characteristic polynomial is used
-only where counts cannot decide: to confirm that a cluster of equal
-counts is one irrational eigenvalue, and, through
-`polynomials.compare_roots`, to decide equality exactly.
+multiplicities off the counts.  `TreeEigenvalue` is the one certified
+root type.  The characteristic polynomial (`inverse.char_poly`, one pass
+over the same leaf-to-root order, `trees.leaf_to_root`) is used only
+where counts cannot decide: to confirm that a cluster of equal counts is
+one irrational eigenvalue, and, through `polynomials.compare_roots`, to
+decide equality exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from . import polynomials as pol
 from .errors import OddOrder
 from .inverse import char_poly
-from .trees import Tree
+from .trees import Tree, leaf_to_root
 
 DEFAULT_TOL = 1e-12
 
@@ -34,18 +36,9 @@ class _Counter:
 
     def __init__(self, t: Tree):
         self.tree = t
-        adj = t.adjacency()
-        parent = [-1] * t.n
-        order = [0]  # breadth-first from vertex 0: grows while it is read
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-        order.reverse()  # children before parents
-        self.order, self.parent = order, parent
+        self.order, self.parent = leaf_to_root(t)
         # |eigenvalue| <= max degree < bound
-        self.bound = 1 << max(len(a) for a in adj).bit_length()
+        self.bound = 1 << max(len(a) for a in t.adjacency()).bit_length()
         self._chain = None
 
     def inertia(self, x: Fraction) -> tuple[int, int, int]:
@@ -89,8 +82,9 @@ class TreeEigenvalue:
     eigenvalues of A(T) equal to `exact`, or strictly between lo and hi,
     are exactly those with indices first..stop-1, k among them.
     `refine`, `value` and `multiplicity` narrow the bracket by bisection
-    on inertia counts; `polynomials.compare_roots` accepts it like a
-    `RealRoot`, with `poly` the squarefree characteristic polynomial.
+    on inertia counts.  It is the package's one certified root type:
+    `polynomials.compare_roots` compares two of them, with `poly` the
+    squarefree characteristic polynomial.
     """
 
     def __init__(self, t: Tree, k: int, counter: _Counter | None = None):

@@ -226,6 +226,22 @@ def tree_path(t: Tree, a: int, b: int) -> VertexPath:
     return tuple(reversed(path))
 
 
+def leaf_to_root(t: Tree) -> tuple[list[int], list[int]]:
+    """T rooted at vertex 0: (order, parent), where `order` lists every
+    vertex after all of its children (reversed breadth-first order) and
+    parent[0] is -1.  Iterative, so any depth is fine."""
+    adj = t.adjacency()
+    parent = [-1] * t.n
+    order = [0]  # breadth-first from vertex 0: grows while it is read
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    order.reverse()
+    return order, parent
+
+
 def path_edges(path: VertexPath) -> list[Edge]:
     return [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
 

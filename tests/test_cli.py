@@ -143,9 +143,15 @@ class TestExchange:
         assert a == b
 
     def test_bad_edge_exit_2(self, capsys, p6_file):
-        code, _, err = run(capsys, "exchange", p6_file,
-                           "--add", "0,1", "--remove", "1,2")
-        assert code == 2
+        for add, remove, reason in (
+                ("0,1", "1,2", "neither a usable inverse-graph edge"),
+                ("100,200", "1,2", "vertex out of range 0..5 in '100,200'"),
+                ("-1,4", "1,2", "vertex out of range 0..5 in '-1,4'"),
+                ("1,4,5", "1,2", "expected two vertices"),
+                ("1,4", "3,40", "vertex out of range 0..5 in '3,40'")):
+            code, _, err = run(capsys, "exchange", p6_file,
+                               f"--add={add}", f"--remove={remove}")
+            assert code == 2 and err.startswith("error: ") and reason in err
 
     def test_emitted_elist_reparses(self, capsys, p6_file):
         _, out, _ = run(capsys, "exchange", p6_file, "--add", "1,4",
@@ -173,3 +179,10 @@ class TestVerify:
     def test_max_n_4(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "4")
         assert code == 0 and "checked 9 classes" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_nonpositive_max_n_exit_2(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", f"--max-n={max_n}"])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err

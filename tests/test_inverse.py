@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_trees
+from invtrees import polynomials as pol
 from invtrees.enumeration import enumerate_invertible, enumerate_trees
 from invtrees.errors import NotInvertible, NotSpanningTreeEdge, Singular
 from invtrees.inverse import (Cut, Graph, adjacency_matrix, char_poly,
@@ -44,6 +45,20 @@ class TestCharPoly:
         for t in enumerate_trees(n).values():
             has_matching = perfect_matching(t) is not None
             assert (char_poly(t)[0] != 0) == has_matching
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        for t in enumerate_trees(n).values():
+            expect = sympy.Matrix(adjacency_matrix(t)).charpoly().all_coeffs()
+            assert char_poly(t) == [int(c) for c in reversed(expect)]
+
+    def test_deep_path(self):
+        # P_k = x P_(k-1) - P_(k-2), with P_0 = 1 and P_1 = x
+        prev, cur = [1], [0, 1]
+        for _ in range(1199):
+            prev, cur = cur, pol.sub([0] + cur, prev)
+        assert char_poly(path_tree(1200)) == cur
 
     @given(random_trees(max_n=10))
     @settings(max_examples=40, deadline=None)

@@ -11,7 +11,8 @@ from invtrees.enumeration import enumerate_invertible, enumerate_trees
 from invtrees.errors import OddOrder
 from invtrees.inverse import (adjacency_matrix, char_poly, inverse_graph,
                               inverse_signed_graph)
-from invtrees.polynomials import RealRoot, compare_roots
+from invtrees import polynomials
+from invtrees.polynomials import compare_roots
 from invtrees.spectral import (TreeEigenvalue, caterpillar_median_bound,
                                compare_medians, inertia, median_eigenvalue,
                                median_root, path_eigenvalues,
@@ -183,18 +184,54 @@ class TestCaterpillarBound:
         assert median >= bound - 1e-12
 
 
+SPIDER10 = tree(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
+                     (0, 7), (7, 8), (8, 9)])  # three 3-vertex legs
+
+
+def _neighbouring_medians(two_n):
+    """(gap, s, t) for the classes on two_n vertices taken in ascending
+    order of their numpy medians, s and t next to each other."""
+    medians = sorted(((_eigenvalues(adjacency_matrix(t))[two_n // 2], t)
+                      for t in enumerate_invertible(two_n).values()),
+                     key=lambda pair: pair[0])
+    return [(y - x, s, t) for (x, s), (y, t) in zip(medians, medians[1:])]
+
+
 class TestRootIsolation:
-    def test_compare_equal_irrational(self):
-        a = RealRoot([-2, 0, 1], Fraction(1), Fraction(2))  # sqrt(2)
-        # x^4 - 4 has sqrt(2) too
-        b = RealRoot([-4, 0, 0, 0, 1], Fraction(1), Fraction(2))
+    def test_compare_equal_irrational(self, monkeypatch):
+        # sqrt(2) is simple in P3 and double in the spider: equality is
+        # decided by the gcd of two different squarefree polynomials
+        a = TreeEigenvalue(path_tree(3), 2)
+        b = TreeEigenvalue(SPIDER10, 7)
+        assert a.poly != b.poly
+        same_root, decided = polynomials._same_root, []
+
+        def spy(x, y):
+            decided.append(same_root(x, y))
+            return decided[-1]
+
+        monkeypatch.setattr(polynomials, "_same_root", spy)
         assert compare_roots(a, b) == 0
+        assert decided == [True]
+        assert a.value() == pytest.approx(math.sqrt(2), abs=1e-11)
+
+    def test_compare_equal_medians(self):
+        # two pairs of non-isomorphic classes at 12 share a median
+        equal = [(s, t) for gap, s, t in _neighbouring_medians(12)
+                 if gap < 1e-9]
+        assert len(equal) == 2
+        for s, t in equal:
+            assert compare_medians(s, t) == compare_medians(t, s) == 0
 
     def test_compare_close(self):
-        a = RealRoot([-2, 0, 1], Fraction(1), Fraction(2))  # sqrt(2)
-        b = RealRoot([-2000001, 0, 1000000], Fraction(1),
-                     Fraction(2))  # sqrt(2.000001)
-        assert compare_roots(a, b) == -1
+        # every other neighbouring pair at 12 is ordered as numpy orders
+        # it, the closest (about 2.2e-4 apart) included
+        distinct = [(gap, s, t) for gap, s, t in _neighbouring_medians(12)
+                    if gap >= 1e-9]
+        assert 2e-4 < min(gap for gap, _, _ in distinct) < 3e-4
+        for _, s, t in distinct:
+            assert compare_medians(s, t) == -1
+            assert compare_medians(t, s) == 1
 
 
 def _eigenvalues(matrix):
@@ -229,17 +266,15 @@ class TestInertia:
 
     def test_irrational_multiple_eigenvalue(self):
         # spider with three 3-vertex legs: +-sqrt(2) and 0 twice each
-        spider = tree(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
-                           (0, 7), (7, 8), (8, 9)])
-        spec = spectrum(spider)
+        spec = spectrum(SPIDER10)
         mults = {round(r.value(), 6): r.multiplicity for r in spec.roots}
         r2 = round(math.sqrt(2), 6)
         assert mults[r2] == mults[-r2] == mults[0.0] == 2
         assert spec.values == pytest.approx(
-            sorted(_eigenvalues(adjacency_matrix(spider))), abs=1e-11)
+            sorted(_eigenvalues(adjacency_matrix(SPIDER10))), abs=1e-11)
         # one eigenvalue at a time, from an unrefined bracket
-        root = TreeEigenvalue(spider, 7)
+        root = TreeEigenvalue(SPIDER10, 7)
         assert root.exact is None and root.multiplicity == 2
         assert root.value() == pytest.approx(math.sqrt(2), abs=1e-11)
-        zero = TreeEigenvalue(spider, 4)
+        zero = TreeEigenvalue(SPIDER10, 4)
         assert zero.multiplicity == 2 and zero.exact == 0
