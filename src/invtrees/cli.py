@@ -151,11 +151,12 @@ def cmd_verify(args) -> int:
                 failures.append(f"{label} godsil {report.first_failure}")
             m = trees.perfect_matching(t)
             phi_t = trees.apply_involution(t, trees.involution(t, m))
+            cuts = inverse.negative_fundamental_cuts(t)
             for e in inverse.inverse_graph(t).sorted_edges():
                 if e in phi_t.edges:
                     continue
                 k = len(trees.tree_path(t, e[0], e[1])) // 2
-                if inverse.negative_cut_count(t, e) != k - 1:
+                if sum(c.crosses(e) for c in cuts) != k - 1:
                     failures.append(f"{label} negative-cut count at {e}")
             for move in poset.exchange_candidates(t):
                 rep = poset.verify_exchange_lemma(t, move)
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list tree classes")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=_positive_int, required=True)
     p.add_argument("--invertible-only", action="store_true")
     p.add_argument("--out", help="directory for .elist files or JSON path")
     p.add_argument("--json", action="store_true")
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exchange)
 
     p = sub.add_parser("poset", help="Hasse diagram of the exchange order")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_positive_int, required=True,
                    help="half the vertex count")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.set_defaults(func=cmd_poset)

@@ -6,10 +6,11 @@ yields some rooted trees more than once (40964 sequences for the 32973
 rooted trees on 14 vertices).  Each sequence becomes a parent array and
 plain adjacency lists, is keyed by its canonical code, and per code the
 smallest sorted edge list is kept; `Tree` objects are built only for
-those winners.  For the invertible classes a leaf-up greedy matching on
-the parent array drops every sequence without a perfect matching before
-any coding (2606 of the 40964 survive at 14 vertices); having one is a
-class invariant, so no class loses its representative.
+those winners.  For the invertible classes the matching rule of `trees`
+(`leaf_up_matching`, the routine behind `perfect_matching`), run on the
+parent array in reverse preorder, drops every sequence without a perfect
+matching before any coding (2606 of the 40964 survive at 14 vertices);
+having one is a class invariant, so no class loses its representative.
 
 The candidate set is kept on purpose.  The representative of a class is
 the smallest sorted edge list among its level sequences, so a generator
@@ -31,7 +32,7 @@ import os
 from typing import Iterator
 
 from .errors import BoundExceeded, OddOrder
-from .trees import Tree, adjacency_code
+from .trees import Tree, adjacency_code, leaf_up_matching
 
 DEFAULT_BOUND = 14
 ENV_BOUND = "INVTREE_MAX_VERTICES"
@@ -79,7 +80,8 @@ def _classes(n: int, matched: bool) -> dict:
                 parent[i] = stack[lvl - 2]
             del stack[lvl - 1:]
             stack.append(i)
-        if matched and not _has_perfect_matching(parent):
+        if matched and leaf_up_matching(range(n - 1, -1, -1),
+                                        parent) is None:
             continue
         adj = [[] for _ in range(n)]
         for v in range(1, n):
@@ -92,20 +94,6 @@ def _classes(n: int, matched: bool) -> dict:
             best[code] = edges
     return {code: Tree(n, frozenset(edges))
             for code, edges in sorted(best.items())}
-
-
-def _has_perfect_matching(parent: list[int]) -> bool:
-    """Leaf-up greedy matching on a parent array in preorder: in reverse
-    preorder every vertex still unmatched must take its parent."""
-    matched = [False] * len(parent)
-    for v in range(len(parent) - 1, -1, -1):
-        if matched[v]:
-            continue
-        p = parent[v]
-        if p < 0 or matched[p]:
-            return False
-        matched[v] = matched[p] = True
-    return True
 
 
 def _check_bound(n: int, bound: int | None) -> None:

@@ -2,11 +2,15 @@
 
 Two independent routes to the inverse are kept side by side: the
 combinatorial one (signed alternating-path entries) and an integer
-linear-algebra oracle (fraction-free elimination).  `char_poly` builds
-the characteristic polynomial in one iterative leaf-to-root pass, with
-no cache.  `Report` is the one verification report: `verify_godsil` here
-and `poset.verify_exchange_lemma` both return one.  Everything here is
-exact integer arithmetic; there is no floating point in this module.
+linear-algebra oracle (fraction-free elimination).  The combinatorial
+inverse is one sweep along the alternating paths from each vertex, O(n^2)
+in all; `inverse_entry` is the per-pair definition it is tested against.
+The negative fundamental cuts need only the spanning tree phi(T), not
+the inverse graph.  `char_poly` builds the characteristic polynomial in
+one iterative leaf-to-root pass, with no cache.  `Report` is the one
+verification report: `verify_godsil` here and
+`poset.verify_exchange_lemma` both return one.  Everything here is exact
+integer arithmetic; there is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def char_poly(t: Tree) -> list[int]:
 
 def inverse_entry(t: Tree, m: Matching, a: int, b: int) -> int:
     """Entry (a, b) of A(T)^{-1}: (-1)^(1-k) when the a-b path is
-    alternating with 2k vertices, else 0."""
+    alternating with 2k vertices, else 0.  The per-pair definition, and
+    the reference for `inverse_signed_graph`."""
     if a == b:
         return 0
     path = tree_path(t, a, b)
@@ -102,16 +107,27 @@ def inverse_entry(t: Tree, m: Matching, a: int, b: int) -> int:
 
 
 def inverse_signed_graph(t: Tree) -> SignedGraph:
-    """The signed graph whose signed adjacency matrix is A(T)^{-1}."""
+    """The signed graph whose signed adjacency matrix is A(T)^{-1}.
+
+    One walk per source a along the alternating paths from a: the
+    matching edge a-phi(a) reaches phi(a) with sign +1, and from a vertex
+    v reached with sign s, every neighbour w != phi(v) leads on to phi(w)
+    with sign -s.  Each vertex is reached at most once per source, so the
+    whole sweep costs O(n^2), the size of the inverse matrix.
+    """
     m = perfect_matching(t)
     if m is None:
         raise NotInvertible("no perfect matching")
+    phi = involution(t, m)
+    adj = t.adjacency()
     signs = {}
     for a in range(t.n):
-        for b in range(a + 1, t.n):
-            s = inverse_entry(t, m, a, b)
-            if s:
-                signs[(a, b)] = s
+        stack = [(phi[a], 1)]
+        while stack:
+            v, s = stack.pop()
+            if a < v:
+                signs[(a, v)] = s
+            stack.extend((phi[w], -s) for w in adj[v] if w != phi[v])
     return SignedGraph.from_dict(t.n, signs)
 
 
@@ -233,7 +249,8 @@ class Cut:
 
 def fundamental_cut(g: Graph, spanning_edges: frozenset, e: Edge) -> Cut:
     """The unique cut of g containing spanning-tree edge e and no other
-    spanning-tree edge."""
+    spanning-tree edge.  Only g.n is read: the side is the component of
+    e[0] in the spanning tree minus e."""
     e = edge(*e)
     if e not in spanning_edges:
         raise NotSpanningTreeEdge(f"{e} not in the spanning tree")
@@ -264,17 +281,16 @@ def switch(g: SignedGraph, cut: Cut) -> SignedGraph:
 
 def negative_fundamental_cuts(t: Tree) -> list[Cut]:
     """Fundamental cuts of the inverse graph for the negative edges of
-    phi(T) (the images of the non-matching edges of T)."""
+    phi(T) (the images of the non-matching edges of T).
+
+    A fundamental cut's side depends only on the spanning tree phi(T),
+    so the inverse graph itself is never built."""
     m = perfect_matching(t)
     if m is None:
         raise NotInvertible("no perfect matching")
-    g = inverse_graph(t)
     phi_t = apply_involution(t, involution(t, m))
-    cuts = []
-    for e, s in signed_tree_image(t, m).signs:
-        if s == -1:
-            cuts.append(fundamental_cut(g, phi_t.edges, e))
-    return cuts
+    return [fundamental_cut(phi_t, phi_t.edges, e)
+            for e, s in signed_tree_image(t, m).signs if s == -1]
 
 
 def negative_cut_count(t: Tree, e: Edge) -> int:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import polynomials as pol
 from .errors import EdgeAlreadyPresent, InvalidMove, NotInvertible
-from .inverse import Report, inverse_graph
+from .inverse import Report, inverse_entry, inverse_graph
 from .spectral import TreeEigenvalue, median_root
 from .trees import (Edge, Tree, canonical_code, edge, involution,
                     perfect_matching, path_edges, tree, tree_path)
@@ -69,7 +69,7 @@ def validate_move(t: Tree, move: ExchangeMove) -> None:
         raise NotInvertible("no perfect matching")
     phi = involution(t, m)
     e = edge(*move.source_inverse_edge)
-    if e not in inverse_graph(t).edges:
+    if not (0 <= e[0] < e[1] < t.n) or not inverse_entry(t, m, *e):
         raise InvalidMove(f"source edge {e} is not in the inverse graph")
     img = edge(phi[e[0]], phi[e[1]])
     if img != edge(*move.add):

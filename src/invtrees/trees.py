@@ -135,42 +135,32 @@ Matching = frozenset  # of Edge
 
 
 def perfect_matching(t: Tree) -> Optional[Matching]:
-    """The unique perfect matching of a tree, or None.
+    """The unique perfect matching of a tree, or None (see
+    `leaf_up_matching`, run on `leaf_to_root(t)`)."""
+    return leaf_up_matching(*leaf_to_root(t))
 
-    Leaves are forced: a leaf must be matched to its only neighbour.
-    Repeatedly matching leaves (ascending vertex index per round) and
-    deleting both ends either covers every vertex or proves no perfect
-    matching exists.
+
+def leaf_up_matching(order: Iterable[int],
+                     parent: Sequence[int]) -> Optional[Matching]:
+    """The perfect matching of the rooted tree given by `parent` (-1 at
+    the root), or None.
+
+    `order` lists every vertex after all of its children.  A vertex still
+    unmatched when reached has matched none of its children, so it must
+    take its parent; if the parent is taken already, or it is the root,
+    there is no perfect matching.
     """
-    if t.n % 2 == 1:
-        return None
-    deg = [t.degree(v) for v in range(t.n)]
-    adj = [set(a) for a in t.adjacency()]
-    alive = [True] * t.n
+    matched = [False] * len(parent)
     pairs = []
-    remaining = t.n
-    leaves = deque(sorted(v for v in range(t.n) if deg[v] == 1))
-    while leaves:
-        v = leaves.popleft()
-        if not alive[v]:
+    for v in order:
+        if matched[v]:
             continue
-        if deg[v] == 0:
-            return None  # stranded isolated vertex
-        u = next(iter(adj[v]))
-        pairs.append(edge(u, v))
-        for x in (v, u):
-            alive[x] = False
-            remaining -= 1
-            for w in list(adj[x]):
-                adj[w].discard(x)
-                adj[x].discard(w)
-                deg[w] -= 1
-                if alive[w] and deg[w] <= 1:
-                    leaves.append(w)
-            deg[x] = 0
-    if remaining:
-        return None
-    return frozenset(pairs)
+        p = parent[v]
+        if p < 0 or matched[p]:
+            return None
+        matched[v] = matched[p] = True
+        pairs.append((v, p))
+    return frozenset(edge(v, p) for v, p in pairs)
 
 
 Involution = tuple  # perm as tuple, perm[v] = matched partner of v

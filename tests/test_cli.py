@@ -186,3 +186,12 @@ class TestVerify:
             main(["verify", f"--max-n={max_n}"])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["poset", "--n", "0"],
+                                      ["poset", "--n=-2"],
+                                      ["enumerate", "--vertices", "0"]])
+    def test_nonpositive_size_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_trees
 from invtrees import polynomials as pol
@@ -17,9 +18,10 @@ from invtrees.inverse import (Cut, Graph, adjacency_matrix, char_poly,
                               signed_graph_to_json, signed_tree_image,
                               switch, underlying_graph, verify_godsil,
                               SignedGraph)
-from invtrees.trees import (apply_involution, elongated_caterpillar,
-                            involution, is_alternating, path_tree,
-                            perfect_matching, star_tree, tree, tree_path)
+from invtrees.trees import (apply_involution, apply_perm,
+                            elongated_caterpillar, involution,
+                            is_alternating, path_tree, perfect_matching,
+                            rooted_product_k2, star_tree, tree, tree_path)
 
 
 class TestCharPoly:
@@ -138,6 +140,20 @@ class TestSignedInverse:
         for t in enumerate_invertible(two_n).values():
             assert inverse_signed_graph(t).matrix() == exact_inverse(t)
 
+    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12, 14])
+    def test_sweep_matches_inverse_entry(self, two_n):
+        for t in enumerate_invertible(two_n).values():
+            assert inverse_signed_graph(t).signs == _entries(t)
+
+    @given(random_trees(max_n=20), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_on_relabelled_rooted_products(self, base, rng):
+        t = rooted_product_k2(base)
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        t = apply_perm(t, perm)
+        assert inverse_signed_graph(t).signs == _entries(t)
+
     @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
     def test_zero_pattern(self, two_n):
         # zero diagonal and zero between same-side vertices
@@ -149,6 +165,14 @@ class TestSignedInverse:
                 for b in range(t.n):
                     if side[a] == side[b]:
                         assert inv[a][b] == 0
+
+
+def _entries(t):
+    """The non-zero entries above the diagonal, pair by pair."""
+    m = perfect_matching(t)
+    entries = ((a, b, inverse_entry(t, m, a, b))
+               for a in range(t.n) for b in range(a + 1, t.n))
+    return tuple(((a, b), s) for a, b, s in entries if s)
 
 
 def _bipartition(t):

@@ -85,8 +85,10 @@ class TestTreeExchange:
         with pytest.raises(InvalidMove, match="matching edge"):
             tree_exchange(t, ExchangeMove(good.add, (0, 1),
                                           good.source_inverse_edge))
-        with pytest.raises(InvalidMove, match="not in the inverse graph"):
-            tree_exchange(t, ExchangeMove(good.add, good.remove, (1, 2)))
+        for source in [(1, 2), (0, 99), (3, 3), (-1, 2)]:
+            with pytest.raises(InvalidMove,
+                               match="not in the inverse graph"):
+                tree_exchange(t, ExchangeMove(good.add, good.remove, source))
         with pytest.raises(InvalidMove, match="already in the tree"):
             tree_exchange(t, ExchangeMove((2, 3), (1, 2), (2, 3)))
 
