@@ -29,7 +29,7 @@ sg = inverse_signed_graph(t)
 print(f"\nsigned inverse graph: {dict(sg.signs)}")
 
 inv = exact_inverse(t)
-assert sg.matrix() == [[int(x) for x in row] for row in inv]
+assert sg.matrix() == inv
 a = adjacency_matrix(t)
 print("matches the exact fraction-free matrix inverse, and "
       "A * A^-1 = I over the integers.")

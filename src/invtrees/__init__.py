@@ -10,7 +10,8 @@ from .inverse import (Cut, Graph, Report, SignedGraph,
                       adjacency_matrix, char_poly, exact_inverse,
                       fundamental_cut, inverse_entry, inverse_graph,
                       inverse_signed_graph, is_identity, matmul,
-                      negative_cut_count, negative_fundamental_cuts,
+                      negative_cut_count, negative_cut_counts,
+                      negative_fundamental_cuts,
                       signed_graph_to_dot, signed_graph_to_json,
                       signed_tree_image, switch, underlying_graph,
                       verify_godsil)

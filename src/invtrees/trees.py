@@ -216,6 +216,21 @@ def tree_path(t: Tree, a: int, b: int) -> VertexPath:
     return tuple(reversed(path))
 
 
+def distances(t: Tree, a: int) -> list[int]:
+    """The number of edges on the path from a to every vertex: one
+    breadth-first pass."""
+    adj = t.adjacency()
+    dist = [-1] * t.n
+    dist[a] = 0
+    order = [a]  # grows while it is read
+    for v in order:
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist
+
+
 def leaf_to_root(t: Tree) -> tuple[list[int], list[int]]:
     """T rooted at vertex 0: (order, parent), where `order` lists every
     vertex after all of its children (reversed breadth-first order) and

@@ -15,7 +15,7 @@ import pytest
 from invtrees.enumeration import enumerate_invertible
 from invtrees.inverse import (adjacency_matrix, exact_inverse,
                               inverse_graph, inverse_signed_graph,
-                              is_identity, matmul, negative_cut_count,
+                              is_identity, matmul, negative_cut_counts,
                               verify_godsil)
 from invtrees.polynomials import compare_roots
 from invtrees.poset import (build_poset, exchange_candidates,
@@ -27,9 +27,9 @@ from invtrees.spectral import (caterpillar_median_bound, median_root,
                                path_eigenvalues, rooted_product_char_poly,
                                spectrum)
 from invtrees.inverse import char_poly
-from invtrees.trees import (apply_involution, canonical_code,
+from invtrees.trees import (apply_involution, canonical_code, distances,
                             elongated_caterpillar, involution, path_tree,
-                            perfect_matching, rooted_product_k2, tree_path,
+                            perfect_matching, rooted_product_k2,
                             trees_isomorphic)
 
 
@@ -39,37 +39,38 @@ def report(line):
 
 def test_exact_inverse_is_identity_product():
     """A(T)^-1 A(T) = I as exact integers, every invertible class
-    through 12 vertices."""
+    through 14 vertices."""
     checked = 0
-    for two_n in range(2, 13, 2):
+    for two_n in range(2, 15, 2):
         for t in enumerate_invertible(two_n).values():
             a = adjacency_matrix(t)
             inv = exact_inverse(t)
             assert is_identity(matmul(inv, a))
             assert is_identity(matmul(a, inv))
             signed = inverse_signed_graph(t).matrix()
-            assert signed == [[int(x) for x in row] for row in inv]
+            assert signed == inv
             checked += 1
-    report(f"exact inverse: {checked} classes through 12 vertices, "
+    report(f"exact inverse: {checked} classes through 14 vertices, "
            "A^-1 A = A A^-1 = I exactly")
 
 
 def test_structure_theorem_all_clauses():
     """Entrywise description, signed subgraph, cut-switching and
     spanning-tree clauses, plus the m-1 negative-cut count, every
-    invertible class through 12 vertices."""
+    invertible class through 14 vertices."""
     checked = cuts = 0
-    for two_n in range(2, 13, 2):
+    for two_n in range(2, 15, 2):
         for t in enumerate_invertible(two_n).values():
             rep = verify_godsil(t)
             assert rep.passed, rep.first_failure
             m = perfect_matching(t)
             phi_t = apply_involution(t, involution(t, m))
-            for e in inverse_graph(t).sorted_edges():
-                if e in phi_t.edges:
-                    continue
-                half = len(tree_path(t, e[0], e[1])) // 2
-                assert negative_cut_count(t, e) == half - 1
+            counts = negative_cut_counts(t)
+            assert set(counts) == inverse_graph(t).edges - phi_t.edges
+            # a path of 2m vertices is at distance 2m-1
+            dist = [distances(t, a) for a in range(t.n)]
+            for (u, v), count in counts.items():
+                assert count == (dist[u][v] - 1) // 2
                 cuts += 1
             checked += 1
     report(f"structure theorem: all clauses on {checked} classes, "

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_trees
+from invtrees import inverse
 from invtrees import polynomials as pol
 from invtrees.enumeration import enumerate_invertible, enumerate_trees
 from invtrees.errors import NotInvertible, NotSpanningTreeEdge, Singular
@@ -13,7 +14,7 @@ from invtrees.inverse import (Cut, Graph, adjacency_matrix, char_poly,
                               inverse_entry, inverse_graph,
                               inverse_signed_graph, invert_unimodular,
                               is_identity, matmul, matrix_to_json,
-                              negative_cut_count,
+                              negative_cut_count, negative_cut_counts,
                               negative_fundamental_cuts, signed_graph_to_dot,
                               signed_graph_to_json, signed_tree_image,
                               switch, underlying_graph, verify_godsil,
@@ -108,7 +109,7 @@ class TestExactInverse:
         with pytest.raises(Singular):
             invert_unimodular([[2, 0], [0, 1]])
 
-    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12, 14])
     def test_product_is_identity(self, two_n):
         for t in enumerate_invertible(two_n).values():
             assert is_identity(matmul(exact_inverse(t),
@@ -135,7 +136,7 @@ class TestSignedInverse:
         with pytest.raises(NotInvertible):
             inverse_signed_graph(star_tree(4))
 
-    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12, 14])
     def test_matches_oracle(self, two_n):
         for t in enumerate_invertible(two_n).values():
             assert inverse_signed_graph(t).matrix() == exact_inverse(t)
@@ -285,6 +286,30 @@ class TestCuts:
                 k = len(path) // 2
                 assert negative_cut_count(t, e) == k - 1
 
+    @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10, 12, 14])
+    def test_all_counts_match_cuts(self, two_n):
+        for t in enumerate_invertible(two_n).values():
+            _check_cut_counts(t)
+
+    @given(random_trees(max_n=12), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_all_counts_on_relabelled_rooted_products(self, base, rng):
+        t = rooted_product_k2(base)
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        _check_cut_counts(apply_perm(t, perm))
+
+
+def _check_cut_counts(t):
+    """negative_cut_counts against the cuts themselves, edge by edge."""
+    phi_t = apply_involution(t, involution(t, perfect_matching(t)))
+    cuts = negative_fundamental_cuts(t)
+    counts = negative_cut_counts(t)
+    assert set(counts) == inverse_graph(t).edges - phi_t.edges
+    for e, count in counts.items():
+        assert count == sum(c.crosses(e) for c in cuts)
+        assert negative_cut_count(t, e) == count
+
 
 class TestSwitching:
     def test_switch_twice(self):
@@ -319,6 +344,31 @@ class TestVerifyGodsil:
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
             verify_godsil(star_tree(4))
+
+    @pytest.mark.parametrize("fault", ["flip", "drop", "add"])
+    def test_certificate_catches_one_wrong_entry(self, monkeypatch, fault):
+        # every single-entry fault in the signed inverse of every class at
+        # 8 vertices passes (a) but fails A S = I, clause (b)
+        real = inverse.inverse_signed_graph
+        for t in enumerate_invertible(8).values():
+            signs = real(t).sign_map()
+            if fault == "add":
+                pairs = [(u, v) for u in range(t.n)
+                         for v in range(u + 1, t.n) if (u, v) not in signs]
+                faults = [{**signs, p: s} for p in pairs for s in (1, -1)]
+            elif fault == "flip":
+                faults = [{**signs, e: -s} for e, s in signs.items()]
+            else:
+                faults = [{f: s for f, s in signs.items() if f != e}
+                          for e in signs]
+            for bad in faults:
+                monkeypatch.setattr(
+                    inverse, "inverse_signed_graph",
+                    lambda t, bad=bad: SignedGraph.from_dict(t.n, bad))
+                report = verify_godsil(t)
+                assert [(name, ok) for name, ok, _ in report.clauses[:2]] \
+                    == [("a:entries", True), ("b:entrywise", False)]
+                assert report.first_failure.startswith("b:entrywise: ")
 
 
 class TestSerialization:

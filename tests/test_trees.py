@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from conftest import all_perfect_matchings, labeled_trees, random_trees
 from invtrees.errors import NotATree, ParseError, SameVertex
 from invtrees.trees import (Tree, apply_involution, apply_perm,
-                            canonical_code, edge, elongated_caterpillar,
-                            format_tree, involution, is_alternating,
-                            parse_tree, path_tree, perfect_matching,
-                            rooted_product_k2, star_tree, tree, tree_path,
-                            trees_isomorphic)
+                            canonical_code, distances, edge,
+                            elongated_caterpillar, format_tree, involution,
+                            is_alternating, parse_tree, path_tree,
+                            perfect_matching, rooted_product_k2, star_tree,
+                            tree, tree_path, trees_isomorphic)
 
 # spider: center 0 with arms 0-1-2, 0-3-4 and pendant 5
 SPIDER = tree(6, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
@@ -131,6 +131,17 @@ class TestPaths:
     def test_same_vertex(self):
         with pytest.raises(SameVertex):
             tree_path(path_tree(4), 2, 2)
+
+    def test_spider_distances(self):
+        assert distances(SPIDER, 2) == [2, 1, 0, 3, 4, 3]
+
+    @given(random_trees(max_n=16))
+    @settings(max_examples=40, deadline=None)
+    def test_distances_match_paths(self, t):
+        for a in range(t.n):
+            assert distances(t, a) == [
+                0 if b == a else len(tree_path(t, a, b)) - 1
+                for b in range(t.n)]
 
 
 class TestAlternating:
